@@ -222,23 +222,12 @@ BENCHMARK(BM_OrientationDistance);
 // ---- kernel rows (BENCH_kernels.json + scripts/perf_gate.py) ---------
 //
 // Scalar/Batched pairs measure the same work — one block's worth of
-// steps per iteration — through the two RECOVER_KERNEL paths, so the
-// within-run cpu-time ratio is the kernel speedup (machine-independent;
-// perf_gate.py enforces a floor on it).  The unpaired fill rows are
-// raw-word throughput baselines for the engines' block API.
-
-// Restores the kernel mode around a benchmark so the paired rows compose
-// with the rest of the binary (which runs in the ambient mode) in any
-// order.
-class KernelModeGuard {
- public:
-  explicit KernelModeGuard(recover::kernel::Mode m)
-      : was_(recover::kernel::set_mode(m)) {}
-  ~KernelModeGuard() { recover::kernel::set_mode(was_); }
-
- private:
-  recover::kernel::Mode was_;
-};
+// steps per iteration — through the two kernel paths (forced with
+// kernel::ScopedMode, so the rows compose with the rest of the binary in
+// any order), so the within-run cpu-time ratio is the kernel speedup
+// (machine-independent; perf_gate.py enforces a floor on it).  The
+// unpaired fill row is the raw-word throughput baseline for the engine's
+// block API.
 
 void BM_KernelFillXoshiro(benchmark::State& state) {
   Xoshiro256PlusPlus eng(11);
@@ -252,29 +241,15 @@ void BM_KernelFillXoshiro(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelFillXoshiro);
 
-void BM_KernelFillPhilox(benchmark::State& state) {
-  recover::rng::Philox4x32 eng(11);
-  std::array<std::uint64_t, recover::kernel::kBatchSteps> out;
-  for (auto _ : state) {
-    eng.fill(out.data(), out.size());
-    benchmark::DoNotOptimize(out[0] ^ out[out.size() - 1]);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(out.size()));
-}
-BENCHMARK(BM_KernelFillPhilox);
-
-// The d-choice pair runs on both engines.  Xoshiro's recurrence is
-// serial, so its batched win is the fused map/reduce riding under the
-// recurrence's dependency chain; Philox's counter blocks are independent,
-// so its fill is SIMD-wide and the batched win is a multiple.
-template <typename Engine>
-void BM_KernelDChoiceScalar(benchmark::State& state) {
+// The d-choice pair.  Xoshiro's recurrence is serial, so the batched
+// win is the fused map/reduce riding under the recurrence's dependency
+// chain.
+void BM_KernelDChoiceScalarXoshiro(benchmark::State& state) {
   // One block of ABKU[d] selections, drawn the scalar way: d engine
   // calls + d Lemire maps + a running max per selection.
   const auto n = static_cast<std::uint64_t>(state.range(0));
   const auto d = static_cast<int>(state.range(1));
-  Engine eng(12);
+  Xoshiro256PlusPlus eng(12);
   for (auto _ : state) {
     std::uint64_t acc = 0;
     for (std::size_t i = 0; i < recover::kernel::kBatchSteps; ++i) {
@@ -286,25 +261,17 @@ void BM_KernelDChoiceScalar(benchmark::State& state) {
       state.iterations() *
       static_cast<std::int64_t>(recover::kernel::kBatchSteps));
 }
-void BM_KernelDChoiceScalarXoshiro(benchmark::State& state) {
-  BM_KernelDChoiceScalar<Xoshiro256PlusPlus>(state);
-}
-void BM_KernelDChoiceScalarPhilox(benchmark::State& state) {
-  BM_KernelDChoiceScalar<recover::rng::Philox4x32>(state);
-}
 BENCHMARK(BM_KernelDChoiceScalarXoshiro)
     ->Args({1024, 2})
     ->Args({1024, 4})
     ->Args({16384, 2});
-BENCHMARK(BM_KernelDChoiceScalarPhilox)->Args({1024, 2})->Args({1024, 4});
 
-template <typename Engine>
-void BM_KernelDChoiceBatched(benchmark::State& state) {
-  // The same block of selections through DChoiceBatch: one fill, one
-  // SoA map+reduce pass (fused into the fill for streaming engines).
+void BM_KernelDChoiceBatchedXoshiro(benchmark::State& state) {
+  // The same block of selections through DChoiceBatch: the map+reduce
+  // pass fused into the engine's fill.
   const auto n = static_cast<std::uint64_t>(state.range(0));
   const auto d = static_cast<int>(state.range(1));
-  Engine eng(12);
+  Xoshiro256PlusPlus eng(12);
   recover::kernel::DChoiceBatch batch;
   for (auto _ : state) {
     batch.fill(eng, n, d, recover::kernel::kBatchSteps, /*leads_per_step=*/0);
@@ -318,22 +285,15 @@ void BM_KernelDChoiceBatched(benchmark::State& state) {
       state.iterations() *
       static_cast<std::int64_t>(recover::kernel::kBatchSteps));
 }
-void BM_KernelDChoiceBatchedXoshiro(benchmark::State& state) {
-  BM_KernelDChoiceBatched<Xoshiro256PlusPlus>(state);
-}
-void BM_KernelDChoiceBatchedPhilox(benchmark::State& state) {
-  BM_KernelDChoiceBatched<recover::rng::Philox4x32>(state);
-}
 BENCHMARK(BM_KernelDChoiceBatchedXoshiro)
     ->Args({1024, 2})
     ->Args({1024, 4})
     ->Args({16384, 2});
-BENCHMARK(BM_KernelDChoiceBatchedPhilox)->Args({1024, 2})->Args({1024, 4});
 
 template <recover::kernel::Mode kMode>
 void BM_KernelPhaseA(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  KernelModeGuard guard(kMode);
+  const recover::kernel::ScopedMode scoped(kMode);
   Xoshiro256PlusPlus eng(13);
   recover::balls::ScenarioAChain<AbkuRule> chain(
       LoadVector::balanced(n, static_cast<std::int64_t>(n)), AbkuRule(2));
@@ -358,7 +318,7 @@ BENCHMARK(BM_KernelPhaseABatched)->Arg(1024);
 template <recover::kernel::Mode kMode>
 void BM_KernelPhaseB(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  KernelModeGuard guard(kMode);
+  const recover::kernel::ScopedMode scoped(kMode);
   Xoshiro256PlusPlus eng(14);
   recover::balls::ScenarioBChain<AbkuRule> chain(
       LoadVector::balanced(n, static_cast<std::int64_t>(n)), AbkuRule(2));
@@ -385,7 +345,7 @@ void BM_KernelCouplingA(benchmark::State& state) {
   // Lockstep grand-coupling advance: both copies through one shared
   // choice block per chunk.
   const auto n = static_cast<std::size_t>(state.range(0));
-  KernelModeGuard guard(kMode);
+  const recover::kernel::ScopedMode scoped(kMode);
   Xoshiro256PlusPlus eng(15);
   recover::balls::GrandCouplingA<AbkuRule> coupling(
       LoadVector::all_in_one(n, static_cast<std::int64_t>(n)),

@@ -19,7 +19,6 @@
 #include "src/certify/fuzz.hpp"
 #include "src/certify/model.hpp"
 #include "src/certify/properties.hpp"
-#include "src/kernel/kernel.hpp"
 #include "src/util/cli.hpp"
 
 namespace {
@@ -50,9 +49,9 @@ int run_chains(const util::Cli& cli) {
       certify::certify_models(registry, options, &std::cout);
 
   std::printf(
-      "certify: suite=chains kernel=%s models=%lld instances=%lld "
+      "certify: suite=chains models=%lld instances=%lld "
       "checks=%lld failures=%zu%s\n",
-      kernel::mode_name(), static_cast<long long>(report.models),
+      static_cast<long long>(report.models),
       static_cast<long long>(report.instances),
       static_cast<long long>(report.checks), report.failures.size(),
       report.timed_out ? " (time budget reached)" : "");

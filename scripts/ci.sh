@@ -59,56 +59,10 @@ case "$resume_line" in
 esac
 python3 scripts/check_bench_json.py --sweep-checkpoint "$SWEEP_CKPT"
 
-echo "== kernel byte-identity gate (RECOVER_KERNEL=scalar vs batched) =="
-# Every smoke cell must produce bit-identical checkpoint records under
-# both kernel modes; only the wall_seconds timing field may differ.
-IDENT_DIR="$BUILD_DIR/kernel-identity"
-rm -rf "$IDENT_DIR"
-mkdir -p "$IDENT_DIR"
-kernel_identity() {
-  exp=$1
-  grid=$2
-  for mode in scalar batched; do
-    RECOVER_KERNEL=$mode "$BUILD_DIR"/bench/sweep_runner --exp "$exp" \
-      --grid "$grid" --checkpoint "$IDENT_DIR/$exp.$mode.jsonl" > /dev/null
-    sed 's/"wall_seconds":[^,}]*//' "$IDENT_DIR/$exp.$mode.jsonl" \
-      > "$IDENT_DIR/$exp.$mode.stripped"
-  done
-  if ! cmp -s "$IDENT_DIR/$exp.scalar.stripped" \
-              "$IDENT_DIR/$exp.batched.stripped"; then
-    echo "ci.sh: $exp results differ between kernel modes" >&2
-    diff "$IDENT_DIR/$exp.scalar.stripped" \
-         "$IDENT_DIR/$exp.batched.stripped" >&2 || true
-    exit 1
-  fi
-  echo "-- $exp: identical across kernel modes"
-}
-kernel_identity exp01 "d=1..2;m=16..32:x2;density=1;replicas=4"
-kernel_identity exp03 "density=1;n=8..16:x2;d=2;replicas=4"
-kernel_identity exp06 "n=8..16:x2;replicas=4"
-kernel_identity exp10 "d=1..2;n=64..128:x2;samples=50"
-kernel_identity exp22 "d=1..2;n=8..16:x2;density=2;replicas=4"
-kernel_identity exp23 "d=1;n=8..16:x2;density=2;replicas=4"
-
-echo "== rbb: sweep resume in both kernel modes + committed baseline =="
-# The RBB cells consume engine words per-round (state-dependent round
-# lengths), so resume correctness is checked under BOTH kernel paths.
-RBB_GRID="d=1..2;n=8..16:x2;density=2;replicas=4"
-for mode in scalar batched; do
-  RBB_CKPT="$JSON_DIR/sweep_exp22.$mode.ckpt.jsonl"
-  RECOVER_KERNEL=$mode "$BUILD_DIR"/bench/sweep_runner --exp exp22 \
-    --grid "$RBB_GRID" --checkpoint "$RBB_CKPT" > /dev/null
-  resume_line=$(RECOVER_KERNEL=$mode "$BUILD_DIR"/bench/sweep_runner \
-    --exp exp22 --grid "$RBB_GRID" --checkpoint "$RBB_CKPT" | grep '^# sweep:')
-  echo "-- $mode: $resume_line"
-  case "$resume_line" in
-    *" run=0 "*) ;;
-    *)
-      echo "ci.sh: exp22 resume recomputed cells under $mode: $resume_line" >&2
-      exit 1
-      ;;
-  esac
-done
+echo "== rbb: committed baseline =="
+# Kernel-path identity of every sweep cell, checkpoint resume under both
+# paths, and the certify chain suite under the scalar path are ctest
+# cases (KernelPathIdentity.* in tests/kernel_test.cpp), run above.
 python3 scripts/check_bench_json.py --rbb BENCH_rbb.json
 
 echo "== kernel perf gate =="
@@ -120,17 +74,14 @@ echo "== kernel perf gate =="
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true > /dev/null
 python3 scripts/perf_gate.py "$BUILD_DIR/bench_kernels.json"
 
-echo "== certify: chain conformance in both kernel modes =="
+echo "== certify: chain conformance =="
 # Random instances per registered chain model: exact-vs-sampled law
 # agreement, scalar-vs-batched byte identity, coupling faithfulness,
 # structural invariants (docs/CERTIFICATION.md).  Time-boxed — hitting
 # the budget is a pass, a property failure is not, and every failure
 # prints one CERTIFY FAIL line with a replay command.
-for mode in scalar batched; do
-  echo "-- RECOVER_KERNEL=$mode"
-  RECOVER_KERNEL=$mode "$BUILD_DIR"/bench/certify_runner --suite=chains \
-    --instances=8 --time-budget=60s
-done
+"$BUILD_DIR"/bench/certify_runner --suite=chains --instances=8 \
+  --time-budget=60s
 
 echo "== tracing: record, validate, analyze =="
 # Outside JSON_DIR: the *.json glob below expects recover.run/1 records.

@@ -8,14 +8,12 @@ Reads the recover.run/1 record written by
 
 and enforces two things:
 
-  1. Speedup floors (always hard).  Every BM_KernelDChoiceScalar* row
+  1. Speedup floor (always hard).  Every BM_KernelDChoiceScalar* row
      must be paired with a BM_KernelDChoiceBatched* row at the same
-     args, and the batched kernel must beat the scalar path by the
-     per-engine floor: 2.0x for Philox (the AVX2 block path), 1.2x for
-     Xoshiro (the fused streaming path — its serial recurrence caps the
-     honest gain well below the counter-based engine's).  These ratios
-     come from one run, so they are robust to the absolute speed of the
-     CI machine.
+     args, and the batched kernel must beat the scalar path by at least
+     PAIR_FLOOR (1.2x: the fused xoshiro streaming path, whose serial
+     recurrence caps the honest gain).  These ratios come from one run,
+     so they are robust to the absolute speed of the CI machine.
 
   2. Baseline regression (>20% vs bench/BENCH_kernels.json).  Absolute
      cpu_ns comparisons across runs are noisy on shared CI hardware, so
@@ -45,9 +43,9 @@ DEFAULT_BASELINE = os.path.join(
     "BENCH_kernels.json",
 )
 
-# Batched-vs-scalar floors, keyed by engine name as it appears in the
-# benchmark name.  Ratios within one run, so hard even on noisy hosts.
-PAIR_FLOORS = {"Philox": 2.0, "Xoshiro": 1.2}
+# Batched-vs-scalar floor.  A ratio within one run, so hard even on
+# noisy hosts.
+PAIR_FLOOR = 1.2
 
 # Slowdown vs the committed baseline that counts as a regression.
 REGRESSION_THRESHOLD = 1.20
@@ -105,7 +103,7 @@ def load_rows(path):
 
 def check_pairs(rows):
     """Speedup-floor check: every scalar d-choice row needs a batched
-    partner beating the per-engine floor.  Always hard."""
+    partner beating PAIR_FLOOR.  Always hard."""
     pairs = {}
     for name, cpu in rows.items():
         m = PAIR_RE.match(name)
@@ -122,19 +120,14 @@ def check_pairs(rows):
                       f"{'Batched' if 'Batched' not in modes else 'Scalar'} "
                       f"partner row")
             continue
-        floor = PAIR_FLOORS.get(engine)
-        if floor is None:
-            print(f"perf_gate: note: no floor for engine {engine!r}, "
-                  f"skipping pair {args}")
-            continue
         speedup = modes["Scalar"] / modes["Batched"]
-        verdict = "ok" if speedup >= floor else "BELOW FLOOR"
+        verdict = "ok" if speedup >= PAIR_FLOOR else "BELOW FLOOR"
         print(f"perf_gate: {engine}{args}: scalar {modes['Scalar']:.0f} ns, "
               f"batched {modes['Batched']:.0f} ns, speedup {speedup:.2f}x "
-              f"(floor {floor:.1f}x) {verdict}")
-        if speedup < floor:
+              f"(floor {PAIR_FLOOR:.1f}x) {verdict}")
+        if speedup < PAIR_FLOOR:
             ok = fail(f"{engine}{args}: batched speedup {speedup:.2f}x "
-                      f"below required {floor:.1f}x")
+                      f"below required {PAIR_FLOOR:.1f}x")
         checked += 1
     if checked == 0:
         ok = fail("no BM_KernelDChoice scalar/batched pairs found — "

@@ -14,7 +14,7 @@
 //   exact_step  — the brute-force single-step pmf (independent model)
 //   sample_step — one scalar step of the production sampler
 //   run         — a multi-step run routed through kernel::advance, so
-//                 RECOVER_KERNEL=scalar|batched selects the path; the
+//                 kernel::set_mode selects the path; the
 //                 result carries one post-run engine word to catch
 //                 divergence in randomness consumption, not just state
 //   coupled_step    — one step of the coupling from a state pair

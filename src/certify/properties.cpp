@@ -147,13 +147,12 @@ void check_coupling_absorbing(const ChainModel& model,
 void check_scalar_vs_batched(const ChainModel& model, const Instance& instance,
                              const CertifyOptions& options, Session& session) {
   const std::uint64_t run_seed = rng::substream(instance.seed, kTagIdentity);
-  const kernel::Mode previous = kernel::set_mode(kernel::Mode::kScalar);
-  const RunResult scalar =
-      model.run(instance, run_seed, options.identity_steps);
-  kernel::set_mode(kernel::Mode::kBatched);
-  const RunResult batched =
-      model.run(instance, run_seed, options.identity_steps);
-  kernel::set_mode(previous);
+  const auto run_in = [&](kernel::Mode mode) {
+    const kernel::ScopedMode scoped(mode);
+    return model.run(instance, run_seed, options.identity_steps);
+  };
+  const RunResult scalar = run_in(kernel::Mode::kScalar);
+  const RunResult batched = run_in(kernel::Mode::kBatched);
   session.count_check();
   if (scalar.state_key != batched.state_key) {
     session.fail(model, "scalar_vs_batched", instance,
@@ -184,7 +183,7 @@ void check_invariant(const ChainModel& model, const Instance& instance,
 
 std::string CheckFailure::repro(const CertifyOptions& options) const {
   return "CERTIFY FAIL model=" + model + " property=" + property + " " +
-         describe(instance) + " kernel=" + kernel::mode_name() +
+         describe(instance) +
          " | rerun: certify_runner --suite=chains --seed=" +
          std::to_string(options.seed) + " --instances=" +
          std::to_string(options.instances) + " --only=" + model;

@@ -8,8 +8,8 @@
 //   coupling_marginal   each marginal of a coupled step follows the
 //                       single-chain exact law (coupling faithfulness)
 //   coupling_absorbing  equal inputs stay equal through a coupled step
-//   scalar_vs_batched   kernel-mode byte identity: same final state AND
-//                       same next engine word under RECOVER_KERNEL=
+//   scalar_vs_batched   kernel-path byte identity: same final state AND
+//                       same next engine word under kernel::set_mode
 //                       scalar vs batched
 //   invariant           the model's structural invariant (majorization
 //                       sandwich, normalization, capacity bound, ...)

@@ -47,7 +47,7 @@ inline constexpr std::size_t kBatchSteps = 256;
 inline constexpr int kMaxBatchedProbes = 7;
 
 /// Fills `out` with `count` raw 64-bit engine outputs, using the
-/// engine's block API when it has one (Xoshiro256PlusPlus, Philox4x32).
+/// engine's block API when it has one (Xoshiro256PlusPlus).
 template <typename Engine>
 void fill_raw(Engine& eng, std::uint64_t* out, std::size_t count) {
   if constexpr (requires { eng.fill(out, count); }) {
@@ -129,12 +129,11 @@ class DChoiceBatch {
     lead_ = static_cast<std::size_t>(leads_per_step);
     stride_ = lead_ + static_cast<std::size_t>(d);
     // Two strategies, byte-identical by construction.  Engines with a
-    // streaming API (Xoshiro) get the fused loop: the map/reduce work
-    // executes under the recurrence's serial dependency chain, so the
-    // whole batch costs little more than raw generation.  Other engines
-    // (Philox, ReplayEngine in tests) take a fill pass followed by a map
-    // pass specialized on d; the compile-time probe count turns the
-    // inner loop into straight-line mul/cmov code.
+    // streaming API (Xoshiro) get the fused loop for d <= 4: the
+    // map/reduce work executes under the recurrence's serial dependency
+    // chain, so the whole batch costs little more than raw generation.
+    // Larger d and other engines (SplitMix64, ReplayEngine in tests) take
+    // a fill pass followed by a runtime-d map pass.
     if constexpr (GroupGenerator<Engine>) {
       if (leads_per_step == 1) {
         switch (d) {
@@ -155,13 +154,7 @@ class DChoiceBatch {
       }
     }
     fill_raw(eng, raw_.data(), steps * stride_);
-    switch (d) {
-      case 1: map_pass<1>(probe_bound); break;
-      case 2: map_pass<2>(probe_bound); break;
-      case 3: map_pass<3>(probe_bound); break;
-      case 4: map_pass<4>(probe_bound); break;
-      default: map_pass<0>(probe_bound, d); break;
-    }
+    map_pass(probe_bound, static_cast<std::size_t>(d));
   }
 
   /// Raw (unmapped) lead word of step i.
@@ -239,29 +232,20 @@ class DChoiceBatch {
         });
   }
 
-  /// Two-pass fallback map: raw words already in raw_, reduce each step.
-  /// D > 0 is the compile-time probe count; D == 0 is the generic
-  /// runtime-d fallback (d passed explicitly).
-  template <std::size_t D>
-  void map_pass(std::uint64_t probe_bound, int runtime_d = 0) {
+  /// Two-pass map: raw words already in raw_, reduce each step's d
+  /// probes to a packed selection exactly as map_step does.
+  void map_pass(std::uint64_t probe_bound, std::size_t d) {
     const std::uint64_t* w = raw_.data() + lead_;
-    const std::size_t stride = stride_;
-    const std::size_t steps = steps_;
-    for (std::size_t i = 0; i < steps; ++i, w += stride) {
-      if constexpr (D > 0) {
-        choice_[i] = map_step<D>(w, probe_bound);
-      } else {
-        const auto d = static_cast<std::size_t>(runtime_d);
-        std::uint64_t best = 0;
-        bool unsafe = false;
-        for (std::size_t k = 0; k < d; ++k) {
-          const auto m = static_cast<__uint128_t>(w[k]) * probe_bound;
-          const auto hi = static_cast<std::uint64_t>(m >> 64);
-          unsafe |= static_cast<std::uint64_t>(m) < probe_bound;
-          best = hi > best ? hi : best;
-        }
-        choice_[i] = (best << 1) | static_cast<std::uint64_t>(unsafe);
+    for (std::size_t i = 0; i < steps_; ++i, w += stride_) {
+      std::uint64_t best = 0;
+      bool unsafe = false;
+      for (std::size_t k = 0; k < d; ++k) {
+        const auto m = static_cast<__uint128_t>(w[k]) * probe_bound;
+        const auto hi = static_cast<std::uint64_t>(m >> 64);
+        unsafe |= static_cast<std::uint64_t>(m) < probe_bound;
+        best = hi > best ? hi : best;
       }
+      choice_[i] = (best << 1) | static_cast<std::uint64_t>(unsafe);
     }
   }
 

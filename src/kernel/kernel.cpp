@@ -1,53 +1,19 @@
 #include "src/kernel/kernel.hpp"
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace recover::kernel {
 namespace {
 
-Mode parse_env() {
-  const char* v = std::getenv("RECOVER_KERNEL");
-  if (v == nullptr || *v == '\0') return Mode::kBatched;
-  if (std::strcmp(v, "batched") == 0) return Mode::kBatched;
-  if (std::strcmp(v, "scalar") == 0) return Mode::kScalar;
-  std::fprintf(stderr,
-               "recoverlib: invalid RECOVER_KERNEL=\"%s\" "
-               "(expected \"scalar\" or \"batched\")\n",
-               v);
-  std::exit(2);
-}
-
-// -1 = not yet resolved; otherwise static_cast<int>(Mode).
-std::atomic<int> g_mode{-1};
+std::atomic<Mode> g_mode{Mode::kBatched};
 
 }  // namespace
 
-Mode mode() noexcept {
-  int m = g_mode.load(std::memory_order_relaxed);
-  if (m < 0) {
-    const Mode parsed = parse_env();
-    int expected = -1;
-    g_mode.compare_exchange_strong(expected, static_cast<int>(parsed),
-                                   std::memory_order_relaxed);
-    m = g_mode.load(std::memory_order_relaxed);
-  }
-  return static_cast<Mode>(m);
-}
+Mode mode() noexcept { return g_mode.load(std::memory_order_relaxed); }
 
 Mode set_mode(Mode m) noexcept {
-  const Mode previous = mode();
-  g_mode.store(static_cast<int>(m), std::memory_order_relaxed);
-  return previous;
+  return g_mode.exchange(m, std::memory_order_relaxed);
 }
-
-const char* mode_name(Mode m) noexcept {
-  return m == Mode::kBatched ? "batched" : "scalar";
-}
-
-const char* mode_name() noexcept { return mode_name(mode()); }
 
 namespace detail {
 

@@ -1,16 +1,15 @@
 // Kernel dispatch: routes multi-step bursts through the batched
 // choice-block kernels (choice_block.hpp) or the scalar one-step-at-a-
-// time path, under a process-wide runtime switch.
+// time path.
 //
-//   RECOVER_KERNEL=batched   (default) block-drawn randomness, SoA
-//                            precomputed selections, tight apply loop
-//   RECOVER_KERNEL=scalar    the plain `for (...) obj.step(eng)` loop
-//
-// Both paths consume the engine word-for-word identically, so every
-// experiment, sweep cell and serve reply is byte-identical across modes
-// (enforced by tests/kernel_test.cpp and the ci.sh identity gate).  The
-// switch exists for benchmarking the kernels against their baseline and
-// as an escape hatch, not because results differ.
+// Production always takes the batched path where it can: the burst is at
+// least kMinBatchSteps long, d ≤ kMaxBatchedProbes, and the type has a
+// step_block.  Everything else runs the plain `for (...) obj.step(eng)`
+// loop.  Both paths consume the engine word-for-word identically, so
+// every experiment, sweep cell and serve reply is byte-identical across
+// them.  set_mode(Mode::kScalar) forces the scalar reference in-process;
+// tests/kernel_test.cpp and certify's scalar_vs_batched property use it
+// to hold the batched path to that contract.
 #pragma once
 
 #include <cstdint>
@@ -22,18 +21,25 @@ namespace recover::kernel {
 
 enum class Mode { kScalar, kBatched };
 
-/// Active kernel mode.  The first call reads RECOVER_KERNEL ("scalar" |
-/// "batched"; unset or empty means batched) and caches it; any other
-/// value aborts with a message — a typo silently falling back would make
-/// a perf comparison lie.
+/// Active kernel mode: kBatched unless set_mode forced the scalar path.
 Mode mode() noexcept;
 
-/// Overrides the cached mode (tests/benchmarks); returns the previous one.
+/// Forces a mode for the whole process (tests, certify, benchmarks);
+/// returns the previous one.
 Mode set_mode(Mode m) noexcept;
 
-[[nodiscard]] const char* mode_name(Mode m) noexcept;
-/// Name of the active mode ("scalar" | "batched"), for run records.
-[[nodiscard]] const char* mode_name() noexcept;
+/// Holds a mode for one scope and restores the previous one on exit, so
+/// a failing check cannot leak its mode into the rest of the process.
+class ScopedMode {
+ public:
+  explicit ScopedMode(Mode m) noexcept : previous_(set_mode(m)) {}
+  ~ScopedMode() { set_mode(previous_); }
+  ScopedMode(const ScopedMode&) = delete;
+  ScopedMode& operator=(const ScopedMode&) = delete;
+
+ private:
+  Mode previous_;
+};
 
 /// Bursts below this many steps stay scalar even in batched mode: a
 /// coupling polled every step or two near coalescence would pay block

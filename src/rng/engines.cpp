@@ -1,10 +1,5 @@
 #include "src/rng/engines.hpp"
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#define RECOVERLIB_PHILOX_SIMD 1
-#include <immintrin.h>
-#endif
-
 #include "src/obs/metrics.hpp"
 
 namespace recover::rng {
@@ -22,28 +17,8 @@ inline std::uint64_t rotl(std::uint64_t x, int k) {
 // differences between rules/schedules visible in run records.
 obs::Counter& g_xoshiro_draws =
     obs::Registry::global().counter("rng.xoshiro.draws");
-obs::Counter& g_philox_draws =
-    obs::Registry::global().counter("rng.philox.draws");
-obs::Counter& g_philox_blocks =
-    obs::Registry::global().counter("rng.philox.blocks");
 obs::Counter& g_stream_seeds =
     obs::Registry::global().counter("rng.stream_seeds");
-
-// Flushes a block of `count` draws through an engine's pending counter,
-// preserving the exact totals of per-call accounting: whole kDrawFlush
-// multiples reached within the block go to the global counter now, the
-// remainder stays pending (for the next flush or the destructor).
-// Returns the amount flushed.
-inline std::uint64_t flush_block_draws(std::uint64_t& pending,
-                                       std::uint64_t count,
-                                       obs::Counter& sink) {
-  const std::uint64_t before = pending & (detail::kDrawFlush - 1);
-  pending += count;
-  const std::uint64_t flushed =
-      ((before + count) / detail::kDrawFlush) * detail::kDrawFlush;
-  if (flushed != 0) sink.add(flushed);
-  return flushed;
-}
 
 }  // namespace
 
@@ -92,11 +67,18 @@ void Xoshiro256PlusPlus::fill(std::uint64_t* out, std::size_t count) {
     s3 = rotl(s3, 45);
   }
   s_ = {s0, s1, s2, s3};
-  flush_block_draws(pending_draws_, count, g_xoshiro_draws);
+  account_draws(count);
 }
 
 void Xoshiro256PlusPlus::account_draws(std::uint64_t count) {
-  flush_block_draws(pending_draws_, count, g_xoshiro_draws);
+  // Whole kDrawFlush multiples reached within the block go to the global
+  // counter now; the remainder stays pending (for the next flush or the
+  // destructor), so the totals equal those of per-call accounting.
+  const std::uint64_t before = pending_draws_ & (detail::kDrawFlush - 1);
+  pending_draws_ += count;
+  const std::uint64_t flushed =
+      ((before + count) / detail::kDrawFlush) * detail::kDrawFlush;
+  if (flushed != 0) g_xoshiro_draws.add(flushed);
 }
 
 void Xoshiro256PlusPlus::jump() {
@@ -116,240 +98,6 @@ void Xoshiro256PlusPlus::jump() {
     }
   }
   s_ = {s0, s1, s2, s3};
-}
-
-namespace {
-
-constexpr std::uint32_t kPhiloxM0 = 0xD2511F53u;
-constexpr std::uint32_t kPhiloxM1 = 0xCD9E8D57u;
-constexpr std::uint32_t kPhiloxW0 = 0x9E3779B9u;
-constexpr std::uint32_t kPhiloxW1 = 0xBB67AE85u;
-
-inline void philox_round(std::array<std::uint32_t, 4>& ctr, std::uint32_t k0,
-                         std::uint32_t k1) {
-  const std::uint64_t p0 = std::uint64_t{kPhiloxM0} * ctr[0];
-  const std::uint64_t p1 = std::uint64_t{kPhiloxM1} * ctr[2];
-  const auto hi0 = static_cast<std::uint32_t>(p0 >> 32);
-  const auto lo0 = static_cast<std::uint32_t>(p0);
-  const auto hi1 = static_cast<std::uint32_t>(p1 >> 32);
-  const auto lo1 = static_cast<std::uint32_t>(p1);
-  ctr = {hi1 ^ ctr[1] ^ k0, lo1, hi0 ^ ctr[3] ^ k1, lo0};
-}
-
-#if RECOVERLIB_PHILOX_SIMD
-
-// Four Philox blocks at once.  Unlike xoshiro, the counter-based design
-// has no serial recurrence: blocks for counters c, c+1, c+2, c+3 are
-// independent pure functions, so computing them in the four 64-bit lanes
-// of a ymm register yields bit-for-bit the words the scalar block() loop
-// produces, four blocks per ~10 vpmuludq pairs instead of per 20 scalar
-// muls.  Each lane holds one 32-bit Philox word in its low half (high
-// half stays zero: vpmuludq reads the low 32 bits, vpaddd wraps each
-// 32-bit lane like the scalar key schedule).
-//
-// Stores one 4-block stream's final state as eight output words.  Per
-// block b: out words (b1<<32)|b0 then (b3<<32)|b2, blocks in counter
-// order — interleave the two word vectors lane-wise.
-__attribute__((target("avx2"))) inline void philox_pack_store_avx2(
-    std::uint64_t* dst, __m256i x0, __m256i x1, __m256i x2, __m256i x3) {
-  const __m256i wa = _mm256_or_si256(_mm256_slli_epi64(x1, 32), x0);
-  const __m256i wb = _mm256_or_si256(_mm256_slli_epi64(x3, 32), x2);
-  const __m256i t0 = _mm256_unpacklo_epi64(wa, wb);  // A0 B0 A2 B2
-  const __m256i t1 = _mm256_unpackhi_epi64(wa, wb);  // A1 B1 A3 B3
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst),
-                      _mm256_permute2x128_si256(t0, t1, 0x20));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 4),
-                      _mm256_permute2x128_si256(t0, t1, 0x31));
-}
-
-// Writes `groups * 8` words (two per block, scalar lane order) to `out`;
-// counters used are counter, counter+1, ..., counter+4*groups-1.
-//
-// The 10-round chain of one vector is serial (each round's multiply
-// feeds the next), so a single 4-block stream is latency-bound; the loop
-// therefore interleaves two independent 4-block streams per iteration,
-// which overlaps the two multiply chains and roughly doubles throughput.
-// Odd group counts run the last group through stream A with stream B
-// masked off by a short tail loop bound.
-__attribute__((target("avx2"))) void philox_fill4_avx2(
-    std::uint64_t key, std::uint64_t counter_hi, std::uint64_t counter,
-    std::uint64_t* out, std::size_t groups) {
-  const __m256i m0 = _mm256_set1_epi64x(static_cast<long long>(kPhiloxM0));
-  const __m256i m1 = _mm256_set1_epi64x(static_cast<long long>(kPhiloxM1));
-  const __m256i w0 = _mm256_set1_epi64x(static_cast<long long>(kPhiloxW0));
-  const __m256i w1 = _mm256_set1_epi64x(static_cast<long long>(kPhiloxW1));
-  const __m256i lo32 = _mm256_set1_epi64x(0xFFFFFFFFLL);
-  const __m256i key0 =
-      _mm256_set1_epi64x(static_cast<long long>(key & 0xFFFFFFFFu));
-  const __m256i key1 =
-      _mm256_set1_epi64x(static_cast<long long>((key >> 32) & 0xFFFFFFFFu));
-  const __m256i chi0 =
-      _mm256_set1_epi64x(static_cast<long long>(counter_hi & 0xFFFFFFFFu));
-  const __m256i chi1 = _mm256_set1_epi64x(
-      static_cast<long long>((counter_hi >> 32) & 0xFFFFFFFFu));
-  // Full 64-bit counters for each stream's four blocks, advanced by
-  // paddq (which carries across the 32-bit lane boundary the scalar
-  // counter split would see).
-  const auto ll = [](std::uint64_t v) { return static_cast<long long>(v); };
-  __m256i ctra = _mm256_set_epi64x(ll(counter + 3), ll(counter + 2),
-                                   ll(counter + 1), ll(counter));
-  const __m256i four = _mm256_set1_epi64x(4);
-  __m256i ctrb = _mm256_add_epi64(ctra, four);
-  const __m256i eight = _mm256_set1_epi64x(8);
-
-  while (groups >= 2) {
-    __m256i a0 = _mm256_and_si256(ctra, lo32);
-    __m256i a1 = _mm256_srli_epi64(ctra, 32);
-    __m256i a2 = chi0;
-    __m256i a3 = chi1;
-    __m256i b0 = _mm256_and_si256(ctrb, lo32);
-    __m256i b1 = _mm256_srli_epi64(ctrb, 32);
-    __m256i b2 = chi0;
-    __m256i b3 = chi1;
-    __m256i k0 = key0;
-    __m256i k1 = key1;
-    for (int round = 0; round < 10; ++round) {
-      const __m256i pa0 = _mm256_mul_epu32(a0, m0);
-      const __m256i pa1 = _mm256_mul_epu32(a2, m1);
-      const __m256i pb0 = _mm256_mul_epu32(b0, m0);
-      const __m256i pb1 = _mm256_mul_epu32(b2, m1);
-      a0 = _mm256_xor_si256(_mm256_srli_epi64(pa1, 32),
-                            _mm256_xor_si256(a1, k0));
-      a2 = _mm256_xor_si256(_mm256_srli_epi64(pa0, 32),
-                            _mm256_xor_si256(a3, k1));
-      a1 = _mm256_and_si256(pa1, lo32);
-      a3 = _mm256_and_si256(pa0, lo32);
-      b0 = _mm256_xor_si256(_mm256_srli_epi64(pb1, 32),
-                            _mm256_xor_si256(b1, k0));
-      b2 = _mm256_xor_si256(_mm256_srli_epi64(pb0, 32),
-                            _mm256_xor_si256(b3, k1));
-      b1 = _mm256_and_si256(pb1, lo32);
-      b3 = _mm256_and_si256(pb0, lo32);
-      k0 = _mm256_add_epi32(k0, w0);
-      k1 = _mm256_add_epi32(k1, w1);
-    }
-    philox_pack_store_avx2(out, a0, a1, a2, a3);
-    philox_pack_store_avx2(out + 8, b0, b1, b2, b3);
-    ctra = _mm256_add_epi64(ctra, eight);
-    ctrb = _mm256_add_epi64(ctrb, eight);
-    out += 16;
-    groups -= 2;
-  }
-  if (groups == 1) {
-    __m256i x0 = _mm256_and_si256(ctra, lo32);
-    __m256i x1 = _mm256_srli_epi64(ctra, 32);
-    __m256i x2 = chi0;
-    __m256i x3 = chi1;
-    __m256i k0 = key0;
-    __m256i k1 = key1;
-    for (int round = 0; round < 10; ++round) {
-      const __m256i p0 = _mm256_mul_epu32(x0, m0);
-      const __m256i p1 = _mm256_mul_epu32(x2, m1);
-      const __m256i n0 = _mm256_xor_si256(_mm256_srli_epi64(p1, 32),
-                                          _mm256_xor_si256(x1, k0));
-      const __m256i n2 = _mm256_xor_si256(_mm256_srli_epi64(p0, 32),
-                                          _mm256_xor_si256(x3, k1));
-      x1 = _mm256_and_si256(p1, lo32);
-      x3 = _mm256_and_si256(p0, lo32);
-      x0 = n0;
-      x2 = n2;
-      k0 = _mm256_add_epi32(k0, w0);
-      k1 = _mm256_add_epi32(k1, w1);
-    }
-    philox_pack_store_avx2(out, x0, x1, x2, x3);
-  }
-}
-
-bool philox_simd_available() {
-  static const bool avail = __builtin_cpu_supports("avx2") != 0;
-  return avail;
-}
-
-#endif  // RECOVERLIB_PHILOX_SIMD
-
-}  // namespace
-
-Philox4x32::Philox4x32(std::uint64_t key, std::uint64_t counter_hi)
-    : key_(key), counter_hi_(counter_hi) {}
-
-std::array<std::uint32_t, 4> Philox4x32::block(std::uint64_t counter) const {
-  std::array<std::uint32_t, 4> ctr = {
-      static_cast<std::uint32_t>(counter),
-      static_cast<std::uint32_t>(counter >> 32),
-      static_cast<std::uint32_t>(counter_hi_),
-      static_cast<std::uint32_t>(counter_hi_ >> 32)};
-  std::uint32_t k0 = static_cast<std::uint32_t>(key_);
-  std::uint32_t k1 = static_cast<std::uint32_t>(key_ >> 32);
-  for (int round = 0; round < 10; ++round) {
-    philox_round(ctr, k0, k1);
-    k0 += kPhiloxW0;
-    k1 += kPhiloxW1;
-  }
-  return ctr;
-}
-
-Philox4x32::~Philox4x32() {
-  g_philox_draws.add(pending_draws_ & (detail::kDrawFlush - 1));
-  g_philox_blocks.add(pending_blocks_);
-}
-
-Philox4x32::result_type Philox4x32::operator()() {
-  if ((++pending_draws_ & (detail::kDrawFlush - 1)) == 0) {
-    g_philox_draws.add(detail::kDrawFlush);
-    g_philox_blocks.add(pending_blocks_);
-    pending_blocks_ = 0;
-  }
-  if (buffered_ < 2) {
-    ++pending_blocks_;
-    buffer_ = block(counter_++);
-    buffered_ = 4;
-  }
-  const std::uint64_t lo = buffer_[static_cast<std::size_t>(4 - buffered_)];
-  const std::uint64_t hi = buffer_[static_cast<std::size_t>(5 - buffered_)];
-  buffered_ -= 2;
-  return (hi << 32) | lo;
-}
-
-void Philox4x32::fill(std::uint64_t* out, std::size_t count) {
-  std::size_t i = 0;
-  // Drain lanes left over from a previous operator() call first, in the
-  // exact pairwise order operator() would consume them.
-  while (i < count && buffered_ >= 2) {
-    const std::uint64_t lo = buffer_[static_cast<std::size_t>(4 - buffered_)];
-    const std::uint64_t hi = buffer_[static_cast<std::size_t>(5 - buffered_)];
-    buffered_ -= 2;
-    out[i++] = (hi << 32) | lo;
-  }
-  // Whole blocks straight from the counter: two 64-bit outputs per
-  // 128-bit block, no buffer round-trip.
-  std::uint64_t blocks = 0;
-#if RECOVERLIB_PHILOX_SIMD
-  if (count - i >= 8 && philox_simd_available()) {
-    const std::size_t groups = (count - i) / 8;
-    philox_fill4_avx2(key_, counter_hi_, counter_, out + i, groups);
-    counter_ += 4 * groups;
-    blocks += 4 * groups;
-    i += 8 * groups;
-  }
-#endif
-  while (i < count) {
-    const auto b = block(counter_++);
-    ++blocks;
-    out[i++] = (std::uint64_t{b[1]} << 32) | b[0];
-    if (i < count) {
-      out[i++] = (std::uint64_t{b[3]} << 32) | b[2];
-    } else {
-      // Odd tail: operator() would have buffered the block and consumed
-      // only the first lane pair; leave the second pair for the next draw.
-      buffer_ = b;
-      buffered_ = 2;
-    }
-  }
-  pending_blocks_ += blocks;
-  if (flush_block_draws(pending_draws_, count, g_philox_draws) != 0) {
-    g_philox_blocks.add(pending_blocks_);
-    pending_blocks_ = 0;
-  }
 }
 
 std::uint64_t derive_stream_seed(std::uint64_t master_seed, std::uint64_t i) {

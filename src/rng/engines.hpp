@@ -1,13 +1,12 @@
 // Random-number engines for simulation workloads.
 //
-// recoverlib uses three engines:
+// recoverlib uses two engines:
 //  * SplitMix64  — seeding / stream derivation (64-bit state, equidistributed
 //                  enough to expand one user seed into many stream keys).
-//  * Xoshiro256PlusPlus — the workhorse generator on hot simulation paths.
-//  * Philox4x32  — counter-based engine; given (key, counter) it is pure,
-//                  which makes per-thread / per-replica streams reproducible
-//                  regardless of scheduling (the property the coupling
-//                  experiments rely on).
+//  * Xoshiro256PlusPlus — the generator on every simulation path.
+//
+// Per-replica streams stay reproducible regardless of scheduling because
+// each one is seeded from substream(master, logical index) below.
 //
 // All engines satisfy std::uniform_random_bit_generator, so they compose
 // with <random> where convenient; the distributions in distributions.hpp
@@ -123,63 +122,6 @@ class Xoshiro256PlusPlus {
 
   std::array<std::uint64_t, 4> s_;
   std::uint64_t pending_draws_ = 0;
-};
-
-/// Philox4x32-10 (Salmon et al., SC'11) counter-based generator.
-///
-/// The generator exposes the usual engine interface (buffering the four
-/// 32-bit lanes of each block), and also a pure `block(counter)` function
-/// so call sites can index randomness by (replica, step) directly.
-class Philox4x32 {
- public:
-  using result_type = std::uint64_t;
-
-  explicit Philox4x32(std::uint64_t key, std::uint64_t counter_hi = 0);
-
-  // Same copy policy as Xoshiro256PlusPlus: the copy restarts draw
-  // accounting so each draw is flushed exactly once.
-  Philox4x32(const Philox4x32& other)
-      : key_(other.key_),
-        counter_hi_(other.counter_hi_),
-        counter_(other.counter_),
-        buffer_(other.buffer_),
-        buffered_(other.buffered_) {}
-  Philox4x32& operator=(const Philox4x32& other) {
-    key_ = other.key_;
-    counter_hi_ = other.counter_hi_;
-    counter_ = other.counter_;
-    buffer_ = other.buffer_;
-    buffered_ = other.buffered_;
-    return *this;
-  }
-  ~Philox4x32();
-
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() { return ~std::uint64_t{0}; }
-
-  result_type operator()();
-
-  /// Writes `count` consecutive outputs of operator() into `out`,
-  /// leaving the engine in exactly the state `count` calls would
-  /// (including partially consumed blocks before and after).  Whole
-  /// blocks are generated straight from the counter — the counter-based
-  /// analogue of Xoshiro256PlusPlus::fill.
-  void fill(std::uint64_t* out, std::size_t count);
-
-  /// Pure function of (key, counter): the 128-bit output block for the
-  /// given 64-bit counter (the high half of the 128-bit counter is the
-  /// construction-time `counter_hi`).
-  [[nodiscard]] std::array<std::uint32_t, 4> block(
-      std::uint64_t counter) const;
-
- private:
-  std::uint64_t key_;
-  std::uint64_t counter_hi_;
-  std::uint64_t counter_ = 0;
-  std::array<std::uint32_t, 4> buffer_{};
-  int buffered_ = 0;  // number of 32-bit lanes still unconsumed
-  std::uint64_t pending_draws_ = 0;
-  std::uint64_t pending_blocks_ = 0;
 };
 
 /// Derives the i-th independent stream seed from a master seed.

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "src/util/assert.hpp"
@@ -120,11 +119,37 @@ std::string Cli::str(const std::string& name) const {
   return f->value;
 }
 
-std::int64_t Cli::integer(const std::string& name) const {
-  return std::stoll(str(name));
+void Cli::bad_value(const std::string& name, const std::string& text) const {
+  std::fprintf(stderr, "bad value '%s' for --%s\n%s", text.c_str(),
+               name.c_str(), usage().c_str());
+  std::exit(2);
 }
 
-double Cli::real(const std::string& name) const { return std::stod(str(name)); }
+std::int64_t Cli::parse_integer(const std::string& name,
+                                const std::string& text) const {
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || errno != 0 || end != text.c_str() + text.size()) {
+    bad_value(name, text);
+  }
+  return value;
+}
+
+std::int64_t Cli::integer(const std::string& name) const {
+  return parse_integer(name, str(name));
+}
+
+double Cli::real(const std::string& name) const {
+  const std::string text = str(name);
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || errno != 0 || end != text.c_str() + text.size()) {
+    bad_value(name, text);
+  }
+  return value;
+}
 
 bool Cli::boolean(const std::string& name) const {
   const std::string v = str(name);
@@ -174,7 +199,7 @@ std::vector<std::int64_t> Cli::int_list(const std::string& name) const {
   std::stringstream ss(str(name));
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::stoll(item));
+    if (!item.empty()) out.push_back(parse_integer(name, item));
   }
   return out;
 }

@@ -32,6 +32,9 @@ class Cli {
   std::vector<std::string> parse_known(int argc, const char* const* argv);
 
   [[nodiscard]] std::string str(const std::string& name) const;
+  /// Numeric flags must parse as a whole token: on a malformed or
+  /// out-of-range value (`x`, `2abc`) they print `bad value '...' for
+  /// --name` with the usage and exit 2, like an unknown flag.
   [[nodiscard]] std::int64_t integer(const std::string& name) const;
   [[nodiscard]] double real(const std::string& name) const;
   [[nodiscard]] bool boolean(const std::string& name) const;
@@ -41,7 +44,8 @@ class Cli {
   /// value so --deadline/--duration typos fail loudly before a run.
   [[nodiscard]] std::int64_t duration_ms(const std::string& name) const;
 
-  /// Comma-separated integer list, e.g. --sizes=64,128,256.
+  /// Comma-separated integer list, e.g. --sizes=64,128,256; a bad item
+  /// exits like a bad integer().
   [[nodiscard]] std::vector<std::int64_t> int_list(
       const std::string& name) const;
 
@@ -66,6 +70,10 @@ class Cli {
 
   [[nodiscard]] const Flag* find(const std::string& name) const;
   Flag* find(const std::string& name);
+  [[noreturn]] void bad_value(const std::string& name,
+                              const std::string& text) const;
+  [[nodiscard]] std::int64_t parse_integer(const std::string& name,
+                                           const std::string& text) const;
   std::vector<std::string> parse_impl(int argc, const char* const* argv,
                                       bool collect_unknown);
 

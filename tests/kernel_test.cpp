@@ -1,15 +1,19 @@
 // Byte-identity and faithfulness tests for the batched kernels
-// (src/kernel/).  The contract under test: RECOVER_KERNEL=scalar and
-// =batched consume the engine word-for-word identically, so every
-// chain/coupling trajectory, experiment record and coalescence trial is
-// byte-identical across modes, batch boundaries, engines and thread
-// counts.
+// (src/kernel/).  The contract under test: the scalar and batched paths
+// (forced in-process with kernel::set_mode) consume the engine
+// word-for-word identically, so every chain/coupling trajectory, sweep
+// cell, checkpoint record and coalescence trial is byte-identical across
+// paths, batch boundaries, engines and thread counts.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstdio>
+#include <map>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/balls/grand_coupling.hpp"
@@ -18,11 +22,18 @@
 #include "src/balls/scenario_a.hpp"
 #include "src/balls/scenario_b.hpp"
 #include "src/certify/check.hpp"
+#include "src/certify/model.hpp"
+#include "src/certify/properties.hpp"
 #include "src/core/coalescence.hpp"
 #include "src/kernel/choice_block.hpp"
 #include "src/kernel/kernel.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/rng/distributions.hpp"
 #include "src/rng/engines.hpp"
+#include "src/sweep/checkpoint.hpp"
+#include "src/sweep/grid.hpp"
+#include "src/sweep/registry.hpp"
+#include "src/sweep/scheduler.hpp"
 
 namespace recover::kernel {
 namespace {
@@ -34,17 +45,6 @@ using balls::LoadVector;
 using balls::ScenarioAChain;
 using balls::ScenarioBChain;
 
-/// RAII mode override so a failing test cannot leak its mode into the
-/// rest of the binary.
-class ModeGuard {
- public:
-  explicit ModeGuard(Mode m) : prev_(set_mode(m)) {}
-  ~ModeGuard() { set_mode(prev_); }
-
- private:
-  Mode prev_;
-};
-
 TEST(KernelMode, SetModeReturnsPrevious) {
   const Mode initial = mode();
   const Mode prev = set_mode(Mode::kScalar);
@@ -55,25 +55,35 @@ TEST(KernelMode, SetModeReturnsPrevious) {
   set_mode(initial);
 }
 
-TEST(KernelMode, ModeNames) {
-  EXPECT_STREQ(mode_name(Mode::kScalar), "scalar");
-  EXPECT_STREQ(mode_name(Mode::kBatched), "batched");
+TEST(KernelMode, ScopedModeRestoresPrevious) {
+  const Mode initial = mode();
+  {
+    const ScopedMode scalar(Mode::kScalar);
+    EXPECT_EQ(mode(), Mode::kScalar);
+    {
+      const ScopedMode batched(Mode::kBatched);
+      EXPECT_EQ(mode(), Mode::kBatched);
+    }
+    EXPECT_EQ(mode(), Mode::kScalar);
+  }
+  EXPECT_EQ(mode(), initial);
 }
 
 // ---------------------------------------------------------------------------
 // Engine block APIs: fill() and generate_groups() must equal serial
-// operator() draws, including buffered half-consumed Philox blocks and
-// the state left behind for subsequent draws.
+// operator() draws, including the state left behind for subsequent
+// draws.
 
-template <typename Engine>
-void expect_fill_matches_serial(std::uint64_t seed) {
+TEST(EngineFill, XoshiroMatchesSerialDraws) {
+  const std::uint64_t seed = certify::test_master_seed(12345);
+  SCOPED_TRACE(certify::seed_banner(seed));
   for (const int predraws : {0, 1, 3}) {
     for (const std::size_t count : {std::size_t{1}, std::size_t{7},
                                     std::size_t{8}, std::size_t{9},
                                     std::size_t{64}, std::size_t{257},
                                     std::size_t{1000}}) {
-      Engine filled(seed);
-      Engine serial(seed);
+      rng::Xoshiro256PlusPlus filled(seed);
+      rng::Xoshiro256PlusPlus serial(seed);
       for (int k = 0; k < predraws; ++k) {
         ASSERT_EQ(filled(), serial());
       }
@@ -89,20 +99,6 @@ void expect_fill_matches_serial(std::uint64_t seed) {
       }
     }
   }
-}
-
-TEST(EngineFill, XoshiroMatchesSerialDraws) {
-  const std::uint64_t seed = certify::test_master_seed(12345);
-  SCOPED_TRACE(certify::seed_banner(seed));
-  expect_fill_matches_serial<rng::Xoshiro256PlusPlus>(seed);
-}
-
-TEST(EngineFill, PhiloxMatchesSerialDraws) {
-  // Counts >= 8 exercise the vectorized whole-block path on hosts that
-  // have it; odd counts and predraws exercise the buffered-lane edges.
-  const std::uint64_t seed = certify::test_master_seed(0xDEADBEEF);
-  SCOPED_TRACE(certify::seed_banner(seed));
-  expect_fill_matches_serial<rng::Philox4x32>(seed);
 }
 
 TEST(EngineFill, XoshiroGenerateGroupsMatchesSerialDraws) {
@@ -185,24 +181,24 @@ TEST(DChoiceBatch, MatchesScalarXoshiroFusedPath) {
   }
 }
 
-TEST(DChoiceBatch, MatchesScalarPhiloxTwoPassPath) {
-  // Philox has no generate_groups: fill_raw + map_pass.
+TEST(DChoiceBatch, MatchesScalarTwoPassPath) {
+  // SplitMix64 has no generate_groups: fill_raw + map_pass.
   const std::uint64_t seed = certify::test_master_seed(11);
   SCOPED_TRACE(certify::seed_banner(seed));
   for (const int d : {1, 2, 4}) {
-    expect_batch_matches_scalar<rng::Philox4x32>(seed, 1 << 14, d,
+    expect_batch_matches_scalar<rng::SplitMix64>(seed, 1 << 14, d,
                                                  kBatchSteps, 1);
   }
 }
 
 TEST(DChoiceBatch, RuntimeDFallbackMatchesScalar) {
-  // d in (4, kMaxBatchedProbes] takes the runtime-d map pass.
+  // d in (4, kMaxBatchedProbes] takes the map pass on every engine.
   const std::uint64_t seed = certify::test_master_seed(13);
   SCOPED_TRACE(certify::seed_banner(seed));
   for (const int d : {5, 6, 7}) {
     expect_batch_matches_scalar<rng::Xoshiro256PlusPlus>(seed, 4096, d, 100,
                                                          1);
-    expect_batch_matches_scalar<rng::Philox4x32>(seed, 4096, d, 100, 1);
+    expect_batch_matches_scalar<rng::SplitMix64>(seed, 4096, d, 100, 1);
   }
 }
 
@@ -272,11 +268,11 @@ void expect_chain_identical_across_modes(Chain scalar_chain,
   Engine scalar_eng(seed);
   Engine batched_eng(seed);
   {
-    ModeGuard guard(Mode::kScalar);
+    const ScopedMode scoped(Mode::kScalar);
     advance(scalar_chain, scalar_eng, steps);
   }
   {
-    ModeGuard guard(Mode::kBatched);
+    const ScopedMode scoped(Mode::kBatched);
     advance(batched_chain, batched_eng, steps);
   }
   ASSERT_EQ(scalar_chain.state().loads(), batched_chain.state().loads())
@@ -325,11 +321,11 @@ TEST(ChainByteIdentity, ScenarioBSingleBallBoundary) {
       {LoadVector::all_in_one(4, 1), AbkuRule(2)}, seed, 500);
 }
 
-TEST(ChainByteIdentity, PhiloxEngineTakesTwoPassPath) {
+TEST(ChainByteIdentity, NonStreamingEngineTakesTwoPassPath) {
   const std::uint64_t seed = certify::test_master_seed(53);
   SCOPED_TRACE(certify::seed_banner(seed));
   expect_chain_identical_across_modes<ScenarioAChain<AbkuRule>,
-                                      rng::Philox4x32>(
+                                      rng::SplitMix64>(
       {LoadVector::all_in_one(64, 256), AbkuRule(2)},
       {LoadVector::all_in_one(64, 256), AbkuRule(2)}, seed,
       static_cast<std::int64_t>(kBatchSteps) + 9);
@@ -354,11 +350,11 @@ void expect_coupling_identical_across_modes(Coupling scalar_c,
   Engine scalar_eng(seed);
   Engine batched_eng(seed);
   {
-    ModeGuard guard(Mode::kScalar);
+    const ScopedMode scoped(Mode::kScalar);
     advance(scalar_c, scalar_eng, steps);
   }
   {
-    ModeGuard guard(Mode::kBatched);
+    const ScopedMode scoped(Mode::kBatched);
     advance(batched_c, batched_eng, steps);
   }
   ASSERT_EQ(scalar_c.coalesced(), batched_c.coalesced());
@@ -394,7 +390,7 @@ TEST(CouplingFaithfulness, EqualCopiesStayEqualUnderBatchedAdvance) {
   // The grand coupling's defining property: once the copies meet they
   // share every draw, so they can never separate.  The batched path
   // must preserve this exactly (it shares one choice block per step).
-  ModeGuard guard(Mode::kBatched);
+  const ScopedMode scoped(Mode::kBatched);
   const auto v = LoadVector::all_in_one(16, 48);
   GrandCouplingA<AbkuRule> coupling(v, v, AbkuRule(2));
   rng::Xoshiro256PlusPlus eng(71);
@@ -410,7 +406,7 @@ TEST(CouplingFaithfulness, EqualCopiesStayEqualUnderBatchedAdvance) {
 // feeds — identical across modes and thread counts.
 
 std::vector<std::int64_t> coalescence_times(Mode m, bool parallel) {
-  ModeGuard guard(m);
+  const ScopedMode scoped(m);
   core::CoalescenceOptions options;
   options.replicas = 8;
   options.seed = 404;
@@ -437,6 +433,107 @@ TEST(CoalescenceByteIdentity, TrialsIdenticalAcrossModesAndThreadCounts) {
   // The cell must actually measure something (not all censored).
   EXPECT_TRUE(std::any_of(scalar_serial.begin(), scalar_serial.end(),
                           [](std::int64_t t) { return t >= 0; }));
+}
+
+// ---------------------------------------------------------------------------
+// Whole-program identity: every registered sweep cell, run through the
+// sweep engine on its smoke grid under each path, prints the same table
+// and writes the same checkpoint records (wall_seconds aside); a resume
+// under either path recomputes nothing.  The certify chain suite passes
+// with the scalar path as the ambient mode (certify_test runs it under
+// the default batched path).
+
+struct SweepOutput {
+  std::string table;    // CSV of the aggregate table
+  std::string records;  // checkpoint records by cell index, no timing
+};
+
+SweepOutput run_smoke_sweep(Mode m, const std::string& exp,
+                            const std::string& grid) {
+  const ScopedMode scoped(m);
+  const std::string checkpoint = testing::TempDir() + "kernel_identity_" +
+                                 exp + (m == Mode::kScalar ? "_s" : "_b") +
+                                 ".jsonl";
+  std::remove(checkpoint.c_str());
+  sweep::SweepOptions options;
+  options.exp = exp;
+  options.checkpoint_path = checkpoint;
+  const auto spec = sweep::GridSpec::parse(grid);
+  const sweep::SweepReport fresh = sweep::run_sweep(spec, options);
+  const sweep::SweepReport resumed = sweep::run_sweep(spec, options);
+  EXPECT_EQ(resumed.cells_run, 0u) << exp;
+  EXPECT_EQ(resumed.checkpoint_hits, fresh.cells_total) << exp;
+
+  SweepOutput out;
+  std::ostringstream table;
+  fresh.table.print_csv(table);
+  out.table = table.str();
+  std::ostringstream resumed_table;
+  resumed.table.print_csv(resumed_table);
+  EXPECT_EQ(resumed_table.str(), out.table) << exp;
+
+  sweep::CheckpointLoad load = sweep::load_checkpoint(checkpoint);
+  EXPECT_EQ(load.skipped_lines, 0u) << exp;
+  EXPECT_EQ(load.records.size(), fresh.cells_total) << exp;
+  std::sort(load.records.begin(), load.records.end(),
+            [](const auto& a, const auto& b) { return a.index < b.index; });
+  for (sweep::CellRecord& record : load.records) {
+    record.wall_seconds = 0;
+    out.records += sweep::to_json_line(record) + "\n";
+  }
+  std::remove(checkpoint.c_str());
+  return out;
+}
+
+TEST(KernelPathIdentity, EverySweepCellMatchesAcrossPaths) {
+  const std::map<std::string, std::string> smoke_grids = {
+      {"exp01", "d=1..2;m=16..32:x2;density=1;replicas=4"},
+      {"exp03", "density=1;n=8..16:x2;d=2;replicas=4"},
+      {"exp06", "n=8..16:x2;replicas=4"},
+      {"exp10", "d=1..2;n=64..128:x2;samples=50"},
+      {"exp22", "d=1..2;n=8..16:x2;density=2;replicas=4"},
+      {"exp23", "d=1;n=8..16:x2;density=2;replicas=4"},
+  };
+  // The batched-step counter proves the batched runs took the batched
+  // path at all; it only counts while metrics are on.
+  const bool metrics_were_on = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  std::uint64_t batched_steps = 0;
+  for (const std::string& exp : sweep::Registry::global().names()) {
+    const auto grid = smoke_grids.find(exp);
+    if (grid == smoke_grids.end()) {
+      ADD_FAILURE() << "no smoke grid for registered cell " << exp;
+      continue;
+    }
+    const std::uint64_t before = detail::steps_batched().value();
+    const SweepOutput scalar =
+        run_smoke_sweep(Mode::kScalar, exp, grid->second);
+    EXPECT_EQ(detail::steps_batched().value(), before) << exp;
+    const SweepOutput batched =
+        run_smoke_sweep(Mode::kBatched, exp, grid->second);
+    batched_steps += detail::steps_batched().value() - before;
+    EXPECT_EQ(scalar.table, batched.table) << exp;
+    EXPECT_EQ(scalar.records, batched.records) << exp;
+  }
+  obs::set_metrics_enabled(metrics_were_on);
+  EXPECT_GT(batched_steps, 0u);
+}
+
+TEST(KernelPathIdentity, CertifyChainsPassUnderScalarPath) {
+  // The options of `certify_runner --suite=chains --instances=8`, with
+  // no time budget.
+  const ScopedMode scoped(Mode::kScalar);
+  certify::CertifyOptions options;
+  options.seed = certify::test_master_seed(1);
+  SCOPED_TRACE(certify::seed_banner(options.seed));
+  const certify::CertifyReport report =
+      certify::certify_models(certify::builtin_registry(), options);
+  EXPECT_FALSE(report.timed_out);
+  EXPECT_GT(report.checks, 400);
+  for (const certify::CheckFailure& failure : report.failures) {
+    ADD_FAILURE() << failure.repro(options);
+  }
+  EXPECT_EQ(mode(), Mode::kScalar);  // scalar_vs_batched restored it
 }
 
 }  // namespace

@@ -26,15 +26,6 @@
 namespace recover::balls {
 namespace {
 
-class ModeGuard {
- public:
-  explicit ModeGuard(kernel::Mode m) : prev_(kernel::set_mode(m)) {}
-  ~ModeGuard() { kernel::set_mode(prev_); }
-
- private:
-  kernel::Mode prev_;
-};
-
 // ---------------------------------------------------------------------------
 // The ejection primitive.
 
@@ -138,11 +129,11 @@ TEST(RBBChain, ScalarAndBatchedRunsAreByteIdentical) {
     rng::Xoshiro256PlusPlus es(seed + c.n);
     rng::Xoshiro256PlusPlus eb(seed + c.n);
     {
-      ModeGuard guard(kernel::Mode::kScalar);
+      const kernel::ScopedMode scoped(kernel::Mode::kScalar);
       kernel::advance(scalar, es, 300);
     }
     {
-      ModeGuard guard(kernel::Mode::kBatched);
+      const kernel::ScopedMode scoped(kernel::Mode::kBatched);
       kernel::advance(batched, eb, 300);
     }
     EXPECT_EQ(scalar.state().loads(), batched.state().loads())
@@ -162,11 +153,11 @@ TEST(GrandCouplingRBB, ScalarAndBatchedCouplingsAreByteIdentical) {
     rng::Xoshiro256PlusPlus es(seed + static_cast<std::uint64_t>(d));
     rng::Xoshiro256PlusPlus eb(seed + static_cast<std::uint64_t>(d));
     {
-      ModeGuard guard(kernel::Mode::kScalar);
+      const kernel::ScopedMode scoped(kernel::Mode::kScalar);
       kernel::advance(scalar, es, 300);
     }
     {
-      ModeGuard guard(kernel::Mode::kBatched);
+      const kernel::ScopedMode scoped(kernel::Mode::kBatched);
       kernel::advance(batched, eb, 300);
     }
     EXPECT_EQ(scalar.first().loads(), batched.first().loads()) << "d=" << d;

@@ -45,31 +45,6 @@ TEST(Xoshiro, JumpDecorrelatesStreams) {
   EXPECT_EQ(equal, 0);
 }
 
-TEST(Philox, MatchesRandom123KnownAnswer) {
-  // Reference vectors for philox4x32-10 from the Random123 test suite.
-  Philox4x32 zero(0);
-  const auto b = zero.block(0);
-  EXPECT_EQ(b[0], 0x6627e8d5u);
-  EXPECT_EQ(b[1], 0xe169c58du);
-  EXPECT_EQ(b[2], 0xbc57ac4cu);
-  EXPECT_EQ(b[3], 0x9b00dbd8u);
-}
-
-TEST(Philox, BlockIsPureFunctionOfCounter) {
-  Philox4x32 p(0xDEADBEEF);
-  const auto b1 = p.block(17);
-  const auto b2 = p.block(17);
-  EXPECT_EQ(b1, b2);
-  EXPECT_NE(p.block(18), b1);
-}
-
-TEST(Philox, EngineInterfaceAdvances) {
-  Philox4x32 p(1);
-  const auto a = p();
-  const auto b = p();
-  EXPECT_NE(a, b);
-}
-
 TEST(DeriveStreamSeed, DistinctAcrossIndices) {
   std::vector<std::uint64_t> seeds;
   for (std::uint64_t i = 0; i < 100; ++i) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "src/util/cli.hpp"
 #include "src/util/sparkline.hpp"
@@ -73,6 +75,44 @@ TEST(Cli, IntListSplitsOnCommas) {
   ASSERT_EQ(v.size(), 3u);
   EXPECT_EQ(v[0], 64);
   EXPECT_EQ(v[2], 256);
+}
+
+// A malformed numeric value exits 2 naming the flag, like an unknown
+// flag; it neither throws nor reads a prefix of the token.
+void expect_bad_value(const char* token, const char* expected,
+                      void (*read)(const Cli&)) {
+  Cli cli("prog", "test");
+  cli.flag("threads", "workers", "1").flag("sizes", "sweep", "1").flag(
+      "eps", "epsilon", "0.25");
+  const char* argv[] = {"prog", token};
+  cli.parse(2, argv);
+  EXPECT_EXIT(read(cli), ::testing::ExitedWithCode(2), expected) << token;
+}
+
+TEST(Cli, NumericFlagsRejectMalformedValues) {
+  const auto integer = [](const Cli& c) { (void)c.integer("threads"); };
+  const auto list = [](const Cli& c) { (void)c.int_list("sizes"); };
+  const auto real = [](const Cli& c) { (void)c.real("eps"); };
+  expect_bad_value("--threads=x", "bad value 'x' for --threads", integer);
+  expect_bad_value("--threads=2abc", "bad value '2abc' for --threads",
+                   integer);
+  expect_bad_value("--threads=", "bad value '' for --threads", integer);
+  expect_bad_value("--threads=99999999999999999999",
+                   "bad value '99999999999999999999' for --threads", integer);
+  expect_bad_value("--sizes=1,x", "bad value 'x' for --sizes", list);
+  expect_bad_value("--eps=0.5x", "bad value '0.5x' for --eps", real);
+  expect_bad_value("--eps=abc", "bad value 'abc' for --eps", real);
+}
+
+TEST(Cli, NumericFlagsAcceptWholeTokens) {
+  Cli cli("prog", "test");
+  cli.flag("n", "bins", "8").flag("eps", "epsilon", "0.25").flag(
+      "sizes", "sweep", "1");
+  const char* argv[] = {"prog", "--n=-3", "--eps=1e-3", "--sizes=4,,-5"};
+  cli.parse(4, argv);
+  EXPECT_EQ(cli.integer("n"), -3);
+  EXPECT_DOUBLE_EQ(cli.real("eps"), 1e-3);
+  EXPECT_EQ(cli.int_list("sizes"), (std::vector<std::int64_t>{4, -5}));
 }
 
 TEST(Sparkline, EmptyAndFlatSeries) {
